@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .lasso import DegenerateFit, NonConvergence, estimate_sigma2
+from . import lasso
 from .linalg import DesignMatrix, SingularModel, fit_model, rank_of
 from .oracle import (
     RateConstants,
@@ -191,17 +191,24 @@ def _emit(payload: dict, output: Optional[str]):
 
 def _resolve_noise(config: RunConfig, X: DesignMatrix, y: np.ndarray) -> float:
     if config.sigma2 == "estimate":
-        return estimate_sigma2(X, y)
+        return lasso.estimate_sigma2(X, y)
     return float(config.sigma2)
 
 
 def cmd_fit(config: RunConfig) -> dict:
     """Run the model search on a CSV dataset and report the posterior."""
     names, X, y = read_csv_dataset(config.input)
-    noise = _resolve_noise(config, X, y)
+    # One lasso fit gives both the chain's start and the noise estimate.
+    start = lasso.cv_fit(X, y)
+    if config.sigma2 == "estimate":
+        noise = lasso.sigma2_from_fit(start, X.n)
+    else:
+        noise = float(config.sigma2)
+    max_size = rank_of(X)
+    init = lasso.model_from_fit(start, X, y, max_size)
     hyper = config.hyperparams(noise)
     prior = config.prior_object()
-    chain = run_chain(X, y, prior, hyper, config.chain_config())
+    chain = run_chain(X, y, prior, hyper, config.chain_config(init=init, max_size=max_size))
     selected = median_probability_model(chain.inclusion)
     beta_mean = fit_model(X, y, selected).beta_hat
     total = sum(chain.visit_counts.values())
@@ -508,8 +515,14 @@ def _load_rerun_config(args: argparse.Namespace) -> RunConfig:
             payload = json.load(fh)["config"]
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         raise MalformedInput(f"cannot read embedded config: {exc}")
+    if not isinstance(payload, dict):
+        raise MalformedInput("embedded config is not a mapping")
     workers = args.workers if args.workers is not None else _default_workers()
-    return RunConfig.from_payload(payload, output=args.output, workers=workers)
+    try:
+        return RunConfig.from_payload(payload, output=args.output, workers=workers)
+    except TypeError as exc:
+        # Unknown or missing fields, or values of the wrong type.
+        raise MalformedInput(f"invalid embedded config: {exc}")
 
 
 DISPATCH = {
@@ -536,8 +549,7 @@ def main(argv=None) -> int:
         TooLarge,
         InitSingular,
         SingularModel,
-        NonConvergence,
-        DegenerateFit,
+        lasso.DegenerateFit,
         np.linalg.LinAlgError,
     ) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

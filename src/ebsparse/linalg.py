@@ -149,21 +149,43 @@ def extend_fit(fit: ModelFit, X: DesignMatrix, y: np.ndarray, j: int) -> ModelFi
             xty=np.array([xjy]),
         )
     Xs = X.submatrix(fit.model)
-    g = Xs.T @ xj
-    l = solve_triangular(fit.chol, g, lower=True, check_finite=False)
-    d2 = cjj - float(l @ l)
-    if d2 <= PIVOT_TOL * cjj:
+    L = chol_append(fit.chol, Xs.T @ xj, cjj)
+    if L is None:
         raise SingularModel(f"column {j} collinear with model {fit.model}")
-    d = float(np.sqrt(d2))
-    L = np.zeros((s + 1, s + 1))
-    L[:s, :s] = fit.chol
-    L[s, :s] = l
-    L[s, s] = d
     xty = np.append(fit.xty, float(xj @ y))
     w = solve_triangular(L, xty, lower=True, check_finite=False)
     beta = solve_triangular(L, w, lower=True, trans="T", check_finite=False)
     resid = y - Xs @ beta[:s] - xj * beta[s]
     return ModelFit(model=fit.model + (j,), chol=L, beta_hat=beta, rss=float(resid @ resid), xty=xty)
+
+
+def chol_append(L: np.ndarray, g: np.ndarray, cjj: float):
+    """Factor of the Gram matrix grown by one column, given that column's
+    cross products g with the old columns and its squared norm cjj.
+
+    Returns None when the new pivot falls below PIVOT_TOL * cjj, i.e. the
+    column is numerically collinear with the old ones.
+    """
+    s = L.shape[0]
+    l = solve_triangular(L, g, lower=True, check_finite=False)
+    d2 = cjj - float(l @ l)
+    if d2 <= PIVOT_TOL * cjj:
+        return None
+    out = np.zeros((s + 1, s + 1))
+    out[:s, :s] = L
+    out[s, :s] = l
+    out[s, s] = float(np.sqrt(d2))
+    return out
+
+
+def chol_delete(L: np.ndarray, k: int) -> np.ndarray:
+    """Factor of the Gram matrix with its k-th column and row removed."""
+    s = L.shape[0]
+    keep = [i for i in range(s) if i != k]
+    out = L[np.ix_(keep, keep)]
+    if k < s - 1:
+        out[k:, k:] = _rank_one_update(out[k:, k:], L[k + 1 :, k])
+    return out
 
 
 def _rank_one_update(L: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -196,12 +218,8 @@ def drop_fit(fit: ModelFit, X: DesignMatrix, y: np.ndarray, j: int) -> ModelFit:
     if fit.size <= REFIT_SIZE:
         return fit_model(X, y, model)
     k = fit.model.index(j)
-    s = fit.size
-    keep = [i for i in range(s) if i != k]
-    L = fit.chol[np.ix_(keep, keep)].copy()
-    if k < s - 1:
-        L[k:, k:] = _rank_one_update(L[k:, k:], fit.chol[k + 1 :, k].copy())
-    xty = fit.xty[keep]
+    L = chol_delete(fit.chol, k)
+    xty = np.delete(fit.xty, k)
     w = solve_triangular(L, xty, lower=True, check_finite=False)
     beta = solve_triangular(L, w, lower=True, trans="T", check_finite=False)
     Xs = X.submatrix(model)

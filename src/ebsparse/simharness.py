@@ -18,7 +18,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .lasso import DegenerateFit, NonConvergence, cv_fit, model_from_fit, sigma2_from_fit
+from .lasso import DegenerateFit, cv_fit, model_from_fit, sigma2_from_fit
 from .linalg import DesignMatrix, SingularModel
 from .posterior import Hyperparams
 from .priors import ComplexityPrior, ModelPrior
@@ -209,7 +209,6 @@ def _run_rep(
     except (
         SingularModel,
         InitSingular,
-        NonConvergence,
         DegenerateFit,
         ValueError,
         np.linalg.LinAlgError,

@@ -233,6 +233,15 @@ class TestRerun:
         bad.write_text("not json at all")
         assert main(["rerun", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "config", [{"command": "diagnose", "reps": 1, "bogus": 1}, ["diagnose", 1]]
+    )
+    def test_rejects_malformed_embedded_config(self, tmp_path, capsys, config):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"config": config}))
+        assert main(["rerun", str(bad)]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
 
 class TestDiagnoseCommand:
     def test_all_checks_pass_and_deterministic(self, tmp_path):

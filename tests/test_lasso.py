@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebsparse.lasso import (
     DegenerateFit,
+    LassoFit,
+    _grid,
+    _path,
+    _standardize,
     cd_lasso,
     cv_fit,
     estimate_sigma2,
@@ -123,6 +129,67 @@ class TestCdLasso:
         lam = 0.3 * lambda_max(X, y)
         fit = cd_lasso(X, y, lam)
         assert objective(X, y, fit.beta, lam) <= objective(X, y, np.zeros(X.p), lam) + 1e-12
+
+
+def fold_path(X, y, rows, grid):
+    """Path solutions on the given rows, on the original scale."""
+    Xf = DesignMatrix.from_array(X.values[rows])
+    Xs, yc, scale, _, _ = _standardize(Xf, y[rows])
+    return Xf, y[rows], _path(Xs, yc, grid) / scale[:, None]
+
+
+def worst_path_kkt(X, y, B, grid):
+    return max(kkt_gap(X, y, LassoFit(beta=b, lam=float(lam), rss=0.0)) for b, lam in zip(B.T, grid))
+
+
+class TestPath:
+    def test_fold_path_grid_solutions_are_exact(self):
+        # p > n: the active set fills the fold's rank, n - 1 after
+        # centering, before the grid ends.
+        rng = np.random.default_rng(40)
+        X, y, _ = signal_problem(rng, n=40, p=120, k=3)
+        grid = _grid(lambda_max(X, y), 50, 0.001)
+        Xf, yf, B = fold_path(X, y, np.arange(8, 40), grid)
+        assert worst_path_kkt(Xf, yf, B, grid) <= 1e-9
+        assert np.count_nonzero(B[:, -1]) == Xf.n - 1
+
+    def test_duplicate_and_constant_columns(self):
+        rng = np.random.default_rng(41)
+        values = rng.standard_normal((30, 60))
+        values[:, 10] = values[:, 0]
+        values[:, 11] = -2.0 * values[:, 1]
+        values[:, 12] = 0.1  # centering leaves rounding error here
+        values[:, 13] = 3.0
+        X = DesignMatrix.from_array(values)
+        y = values[:, :3] @ np.array([2.0, -1.5, 1.0]) + rng.standard_normal(30)
+        fit = cd_lasso(X, y, 0.001 * lambda_max(X, y))
+        assert kkt_gap(X, y, fit) <= 1e-6
+        assert fit.beta[12] == 0.0 and fit.beta[13] == 0.0
+        assert fit.beta[0] * fit.beta[10] == 0.0
+        assert fit.beta[1] * fit.beta[11] == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(3, 25),
+        p=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        duplicate=st.booleans(),
+        constant=st.booleans(),
+    )
+    def test_random_small_designs(self, n, p, seed, duplicate, constant):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((n, p))
+        if duplicate and p > 1:
+            values[:, -1] = -3.0 * values[:, 0]
+        if constant and p > 2:
+            values[:, 1] = 0.1
+        X = DesignMatrix.from_array(values)
+        y = 2.0 * values[:, 0] + rng.standard_normal(n)
+        top = lambda_max(X, y)
+        grid = np.concatenate([[2.0 * top], _grid(top, 20, 0.001)])
+        Xf, yf, B = fold_path(X, y, np.arange(n), grid)
+        assert np.all(B[:, :2] == 0.0)
+        assert worst_path_kkt(Xf, yf, B, grid) <= 1e-9
 
 
 class TestSelectLambda:

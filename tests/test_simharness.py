@@ -3,12 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ebsparse.lasso import cv_fit, kkt_gap
 from ebsparse.posterior import Hyperparams
+from ebsparse.priors import ComplexityPrior
 from ebsparse.sampler import ChainConfig
 from ebsparse.simharness import (
     Metrics,
     RepRecord,
     SettingSpec,
+    _run_rep,
     evaluate_selection,
     generate_design,
     generate_response,
@@ -244,6 +247,19 @@ class TestRunSetting:
     def test_hyper_argument_validation(self):
         with pytest.raises(ValueError):
             run_setting(SHRUNK, ChainConfig(iterations=100), hyper="guess")
+
+    def test_rep_whose_lasso_selects_the_last_grid_penalty(self):
+        # Replication 9 of preset 1 at seed 5: cross-validation picks
+        # 0.001 lambda_max on this p > n problem, and the full-data fit
+        # there must still be exact so the replication is not lost.
+        spec = preset_setting(1, seed=5)
+        data_seq, _ = np.random.SeedSequence(entropy=spec.seed, spawn_key=(9,)).spawn(2)
+        rng = np.random.default_rng(data_seq)
+        X = generate_design(spec.n, spec.p, spec.rho, rng)
+        y = generate_response(X, spec, rng)
+        assert kkt_gap(X, y, cv_fit(X, y)) <= 1e-6
+        cfg = ChainConfig(iterations=500)
+        assert _run_rep(spec, cfg, "estimate", ComplexityPrior(), 9) is not None
 
     def test_record_type_round_trip(self):
         rec = RepRecord(p_bar_0=0.0, p_bar_1=1.0, exact=1, contain=1, fdr=0.0)
