@@ -76,24 +76,15 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.gamma <= 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.sigma2 != "estimate" and (
-            not isinstance(self.sigma2, (int, float)) or self.sigma2 <= 0.0
-        ):
+        if self.sigma2 != "estimate" and not isinstance(self.sigma2, (int, float)):
             raise ValueError('sigma2 must be positive or "estimate"')
         if self.prior not in PRIOR_NAMES:
             raise ValueError(f"prior must be one of {PRIOR_NAMES}")
-        if self.a < 0.0:
-            raise ValueError("a must be nonnegative")
-        if self.c <= 0.0:
-            raise ValueError("c must be positive")
-        if self.iterations < 1:
-            raise ValueError("iterations must be positive")
-        if self.burn_in is not None and not 0 <= self.burn_in < self.iterations:
-            raise ValueError("burn_in must lie in [0, iterations)")
+        # The library objects range-check alpha, gamma, sigma2, a, c,
+        # iterations and burn_in.
+        self.hyperparams(1.0 if self.sigma2 == "estimate" else self.sigma2)
+        self.prior_object()
+        self.chain_config()
         if self.preset is not None and self.preset not in (1, 2, 3):
             raise ValueError("preset must be 1, 2 or 3")
         if self.reps is not None and self.reps < 1:
@@ -263,7 +254,7 @@ def cmd_simulate(config: RunConfig) -> dict:
     reps = config.reps if config.reps is not None else 200
     spec = preset_setting(config.preset, reps=reps, seed=config.seed)
     hyper = "estimate" if config.sigma2 == "estimate" else config.hyperparams(float(config.sigma2))
-    cfg = ChainConfig(iterations=config.iterations, burn_in=config.burn_in, seed=0)
+    cfg = config.chain_config(seed=0)
 
     def progress(done, total):
         print(f"setting {config.preset}: rep {done}/{total}", file=sys.stderr)
@@ -314,7 +305,7 @@ def _diagnose_denominator(config: RunConfig, rng: np.random.Generator, reps: int
         )
         chk = denominator_bound_check(X, y, beta, config.prior_object(), hyper)
         passes += int(chk.holds)
-    constant = Hyperparams(power=config.alpha, ridge=config.gamma, noise=1.0).occam_per_variable
+    constant = config.hyperparams(1.0).occam_per_variable
     return {"passes": passes, "total": reps, "constant": float(constant),
             "pass": passes == reps}
 
@@ -359,7 +350,7 @@ def _diagnose_nested_chisq(rng: np.random.Generator, draws: int = 2000) -> dict:
 
 
 def _diagnose_rate_factor(config: RunConfig) -> dict:
-    hyper = Hyperparams(power=config.alpha, ridge=config.gamma, noise=1.0)
+    hyper = config.hyperparams(1.0)
     constants = RateConstants.from_hyperparams(hyper)
     prior = config.prior_object()
     ratios = []
@@ -382,7 +373,7 @@ def _diagnose_concentration(config: RunConfig, rng: np.random.Generator) -> dict
     beta = np.zeros(20)
     beta[:2] = (2.0, 3.0)
     y = X.values @ beta + rng.standard_normal(60)
-    hyper = Hyperparams(power=config.alpha, ridge=config.gamma, noise=1.0)
+    hyper = config.hyperparams(1.0)
     chain = run_chain(
         X, y, config.prior_object(), hyper,
         ChainConfig(iterations=4000, seed=int(rng.integers(2**32)), max_size=10),

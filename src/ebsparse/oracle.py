@@ -9,6 +9,7 @@ factor controlling the prior-driven part of the concentration bound.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -16,7 +17,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .linalg import DesignMatrix, SingularModel, fit_model, rank_of
-from .posterior import Hyperparams, log_integrated_weight, log_marginal, sample_beta_given_model
+from .posterior import Hyperparams, log_marginal, sample_beta_given_model
 from .priors import ModelPrior, log_binom, log_model_prior, log_size_mass
 from .sampler import ChainOutput
 
@@ -41,15 +42,6 @@ class ExactPosterior:
     inclusion: np.ndarray
 
 
-def _subset_count(p: int, smax: int) -> int:
-    total = 0
-    for s in range(smax + 1):
-        total += int(round(np.exp(log_binom(p, s))))
-        if total > ENUMERATION_GUARD:
-            return total
-    return total
-
-
 def enumerate_posterior(
     X: DesignMatrix,
     y: np.ndarray,
@@ -69,7 +61,7 @@ def enumerate_posterior(
     if size_cap is None:
         size_cap = max_size
     top = min(size_cap, max_size)
-    if _subset_count(X.p, top) > ENUMERATION_GUARD:
+    if sum(math.comb(X.p, s) for s in range(top + 1)) > ENUMERATION_GUARD:
         raise TooLarge(f"more than {ENUMERATION_GUARD} models of size <= {top}")
     models = []
     logs = []
@@ -89,8 +81,7 @@ def enumerate_posterior(
     probs = np.exp(logs - log_norm)
     inclusion = np.zeros(X.p)
     for model, prob in zip(models, probs):
-        for j in model:
-            inclusion[j] += prob
+        inclusion[list(model)] += prob
     return ExactPosterior(table=dict(zip(models, probs)), log_normalizer=log_norm, inclusion=inclusion)
 
 
@@ -105,7 +96,7 @@ def min_sparse_singular_value(X: DesignMatrix, s: int) -> float:
         raise ValueError(f"need 1 <= s <= {X.p}, got {s}")
     if s > X.n:
         return 0.0
-    if np.exp(log_binom(X.p, s)) > ENUMERATION_GUARD:
+    if math.comb(X.p, s) > ENUMERATION_GUARD:
         raise TooLarge(f"C({X.p}, {s}) subsets exceed the guard")
     best = np.inf
     for subset in itertools.combinations(range(X.p), s):
@@ -139,29 +130,18 @@ def denominator_bound_check(
     the true coefficients, is at least prior(true support) * exp(-constant
     * true size), with constant = (1/2) log(1 + power/(ridge*noise)).
 
-    The normalizer is computed by exact enumeration, so the usual
+    The normalizer is enumerate_posterior's: by log_marginal ==
+    log_model_prior + log_integrated_weight, the rescaled normalizer is
+    its log_normalizer plus the model-independent shift, and the same
     subset-count guard applies.
     """
     y = np.asarray(y, dtype=np.float64)
     true_beta = np.asarray(true_beta, dtype=np.float64)
     true_model = tuple(int(j) for j in np.flatnonzero(true_beta))
     max_size = rank_of(X)
-    if _subset_count(X.p, max_size) > ENUMERATION_GUARD:
-        raise TooLarge("denominator enumeration exceeds the guard")
     resid = y - X.values @ true_beta
     shift = hyper.half_data_precision * float(resid @ resid)
-    terms = []
-    for s in range(max_size + 1):
-        for model in itertools.combinations(range(X.p), s):
-            lp = log_model_prior(prior, model, X.p, max_size)
-            if lp == -np.inf:
-                continue
-            try:
-                fit = fit_model(X, y, model)
-            except SingularModel:
-                continue
-            terms.append(lp + log_integrated_weight(fit, hyper) + shift)
-    log_lhs = float(logsumexp(np.array(terms)))
+    log_lhs = enumerate_posterior(X, y, prior, hyper).log_normalizer + shift
     c = hyper.occam_per_variable
     log_rhs = log_model_prior(prior, true_model, X.p, max_size) - c * len(true_model)
     return DenominatorCheck(

@@ -141,7 +141,6 @@ def run_chain(
     burn_in = cfg.resolved_burn_in
     kept = cfg.iterations - burn_in
     visit_counts: dict = {}
-    inclusion = np.zeros(X.p)
     trace_sizes = np.empty(cfg.iterations, dtype=np.int64)
     accepted = 0
     for t in range(cfg.iterations):
@@ -151,8 +150,10 @@ def run_chain(
         if t >= burn_in:
             key = tuple(sorted(fit.model))
             visit_counts[key] = visit_counts.get(key, 0) + 1
-            for j in fit.model:
-                inclusion[j] += 1.0
+    # Integer counts: the sums are exact, whatever the order.
+    inclusion = np.zeros(X.p)
+    for model, count in visit_counts.items():
+        inclusion[list(model)] += count
     return ChainOutput(
         visit_counts=visit_counts,
         inclusion=inclusion / kept,

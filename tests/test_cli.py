@@ -285,6 +285,18 @@ class TestExitCodes:
                 writer.writerow(row)
         assert main(["enumerate", "--input", str(path)]) == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["diagnose", "--alpha", "1.0"],
+            ["diagnose", "--gamma", "0"],
+            ["simulate", "--preset", "1", "--iterations", "100", "--burn-in", "100"],
+        ],
+    )
+    def test_library_range_checks_exit_two(self, capsys, argv):
+        assert main(argv) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
     def test_bad_flag_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main(["fit", "--alpha", "not-a-number", "--input", "x.csv"])

@@ -174,6 +174,14 @@ class TestDenominatorBound:
             assert chk.holds
             assert chk.log_lhs >= chk.log_rhs - 1e-9
 
+    def test_guard_raises_on_large_spaces(self):
+        rng = np.random.default_rng(15)
+        X = random_design(rng, n=25, p=25)
+        with pytest.raises(TooLarge):
+            denominator_bound_check(
+                X, rng.standard_normal(25), np.zeros(25), ComplexityPrior(), Hyperparams()
+            )
+
     def test_zero_signal_edge(self):
         rng = np.random.default_rng(11)
         X = random_design(rng, n=20, p=5)

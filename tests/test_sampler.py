@@ -147,6 +147,17 @@ class TestRunChain:
         for model in out.visit_counts:
             assert model == tuple(sorted(model))
 
+    def test_inclusion_is_visit_weighted_model_sum(self):
+        rng = np.random.default_rng(52)
+        X, y = make_problem(rng, n=30, p=8, beta=[1.0, 0.5, 0, 0, 0, 0, 0, 0])
+        cfg = ChainConfig(iterations=3000, burn_in=500, seed=7, init=())
+        out = run_chain(X, y, BinomialPrior(), Hyperparams(power=0.5, ridge=0.5), cfg)
+        assert len(out.visit_counts) > 3
+        expected = np.array(
+            [sum(c for m, c in out.visit_counts.items() if j in m) for j in range(8)]
+        ) / 2500
+        assert np.array_equal(out.inclusion, expected)
+
     def test_default_burn_in_is_twenty_percent(self):
         cfg = ChainConfig(iterations=5000)
         assert cfg.resolved_burn_in == 1000
