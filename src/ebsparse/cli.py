@@ -427,46 +427,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, iterations=True):
-        sp.add_argument("--alpha", type=float, default=0.999,
-                        help="fractional likelihood power in (0, 1)")
-        sp.add_argument("--gamma", type=float, default=0.001,
-                        help="coefficient prior precision multiplier")
+    # Absent flags stay absent, so RunConfig's defaults are the only ones.
+    def run_parser(name, summary, iterations=True):
+        sp = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        sp.add_argument("--alpha", type=float, help="fractional likelihood power in (0, 1)")
+        sp.add_argument("--gamma", type=float, help="coefficient prior precision multiplier")
         noise = sp.add_mutually_exclusive_group()
-        noise.add_argument("--sigma2", type=float, default=None,
-                           help="known noise variance")
-        noise.add_argument("--estimate-sigma2", action="store_true",
+        noise.add_argument("--sigma2", type=float, help="known noise variance")
+        noise.add_argument("--estimate-sigma2", action="store_const", dest="sigma2",
+                           const="estimate",
                            help="plug in the lasso residual variance (default)")
-        sp.add_argument("--prior", choices=PRIOR_NAMES, default="complexity")
-        sp.add_argument("--a", type=float, default=0.05,
-                        help="complexity prior exponent")
-        sp.add_argument("--c", type=float, default=1.0,
-                        help="complexity prior base")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--workers", type=int, default=None,
+        sp.add_argument("--prior", choices=PRIOR_NAMES)
+        sp.add_argument("--a", type=float, help="complexity prior exponent")
+        sp.add_argument("--c", type=float, help="complexity prior base")
+        sp.add_argument("--seed", type=int)
+        sp.add_argument("--workers", type=int,
                         help=f"worker processes (default ${WORKERS_ENV} or 1)")
-        sp.add_argument("--output", default=None, help="JSON report path")
+        sp.add_argument("--output", help="JSON report path")
         if iterations:
-            sp.add_argument("--iterations", type=int, default=5000)
-            sp.add_argument("--burn-in", type=int, default=None)
+            sp.add_argument("--iterations", type=int)
+            sp.add_argument("--burn-in", type=int)
+        return sp
 
-    fit = sub.add_parser("fit", help="sample the model posterior of a CSV dataset")
-    add_common(fit)
+    fit = run_parser("fit", "sample the model posterior of a CSV dataset")
     fit.add_argument("--input", required=True, help="CSV: header row, response first")
-
-    sim = sub.add_parser("simulate", help="run a synthetic benchmark setting")
-    add_common(sim)
+    sim = run_parser("simulate", "run a synthetic benchmark setting")
     sim.add_argument("--preset", type=int, required=True, choices=(1, 2, 3))
-    sim.add_argument("--reps", type=int, default=None, help="replications (default 200)")
-
-    enum = sub.add_parser("enumerate", help="exact posterior over all models")
-    add_common(enum, iterations=False)
+    sim.add_argument("--reps", type=int, help="replications (default 200)")
+    enum = run_parser("enumerate", "exact posterior over all models", iterations=False)
     enum.add_argument("--input", required=True, help="CSV: header row, response first")
-
-    diag = sub.add_parser("diagnose", help="seeded theory-check suite")
-    add_common(diag, iterations=False)
-    diag.add_argument("--reps", type=int, default=None,
-                      help="denominator-bound instances (default 100)")
+    diag = run_parser("diagnose", "seeded theory-check suite", iterations=False)
+    diag.add_argument("--reps", type=int, help="denominator-bound instances (default 100)")
 
     rerun = sub.add_parser("rerun", help="re-run the config embedded in a report")
     rerun.add_argument("report", help="JSON report from a previous run")
@@ -476,28 +467,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.sigma2 is not None:
-        sigma2 = args.sigma2
-    else:
-        sigma2 = "estimate"
-    workers = args.workers if args.workers is not None else _default_workers()
-    return RunConfig(
-        command=args.command,
-        alpha=args.alpha,
-        gamma=args.gamma,
-        sigma2=sigma2,
-        prior=args.prior,
-        a=args.a,
-        c=args.c,
-        iterations=getattr(args, "iterations", 5000),
-        burn_in=getattr(args, "burn_in", None),
-        seed=args.seed,
-        preset=getattr(args, "preset", None),
-        reps=getattr(args, "reps", None),
-        input=getattr(args, "input", None),
-        output=args.output,
-        workers=workers,
-    )
+    fields = vars(args)
+    if "workers" not in fields:
+        fields["workers"] = _default_workers()
+    return RunConfig(**fields)
 
 
 def _load_rerun_config(args: argparse.Namespace) -> RunConfig:

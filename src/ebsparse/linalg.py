@@ -3,7 +3,9 @@
 A "model" is a tuple of active column indices (0-based). Fits are cached
 as a Cholesky factor of the active Gram matrix so that adding or removing
 one variable costs O(|S|^2) plus a single pass over the n rows, instead of
-a fresh factorization.
+a fresh factorization: an add appends a row to the factor, a drop
+downdates it. Every fit, fresh or incremental, then ends in the same two
+triangular solves and residual.
 """
 
 from __future__ import annotations
@@ -97,6 +99,14 @@ def rank_of(X: DesignMatrix, tol: float = 1e-8) -> int:
     return int(np.sum(sv > tol * sv[0]))
 
 
+def _solved(model, L, xty, Xs, y) -> ModelFit:
+    # beta from L L^T beta = X_S^T y, then the residual of the gathered X_S.
+    w = solve_triangular(L, xty, lower=True, check_finite=False)
+    beta = solve_triangular(L, w, lower=True, trans="T", check_finite=False)
+    resid = y - Xs @ beta
+    return ModelFit(model=model, chol=L, beta_hat=beta, rss=float(resid @ resid), xty=xty)
+
+
 def fit_model(X: DesignMatrix, y: np.ndarray, S) -> ModelFit:
     """Least-squares fit of y on the columns in S.
 
@@ -116,47 +126,23 @@ def fit_model(X: DesignMatrix, y: np.ndarray, S) -> ModelFit:
     diag = np.diag(L) ** 2
     if np.any(diag <= PIVOT_TOL * np.diag(G)):
         raise SingularModel(f"rank-deficient model {model}")
-    xty = Xs.T @ y
-    w = solve_triangular(L, xty, lower=True, check_finite=False)
-    beta = solve_triangular(L, w, lower=True, trans="T", check_finite=False)
-    resid = y - Xs @ beta
-    return ModelFit(model=model, chol=L, beta_hat=beta, rss=float(resid @ resid), xty=xty)
+    return _solved(model, L, Xs.T @ y, Xs, y)
 
 
 def extend_fit(fit: ModelFit, X: DesignMatrix, y: np.ndarray, j: int) -> ModelFit:
     """Fit on fit.model + (j,), reusing the cached Cholesky factor.
 
     Cost is O(|S|^2) plus one pass over the n rows for the new Gram column
-    and residual.
+    and residual. A zero column, like a collinear one, raises SingularModel.
     """
     if j in fit.model:
         raise ValueError(f"column {j} already in model {fit.model}")
-    xj = X.column(j)
-    cjj = X.column_sq_norms[j]
-    s = fit.size
-    if s == 0:
-        if cjj <= 0.0:
-            raise SingularModel(f"zero column {j}")
-        d = float(np.sqrt(cjj))
-        xjy = float(xj @ y)
-        beta = np.array([xjy / cjj])
-        resid = y - xj * beta[0]
-        return ModelFit(
-            model=(j,),
-            chol=np.array([[d]]),
-            beta_hat=beta,
-            rss=float(resid @ resid),
-            xty=np.array([xjy]),
-        )
-    Xs = X.submatrix(fit.model)
-    L = chol_append(fit.chol, Xs.T @ xj, cjj)
+    model = fit.model + (j,)
+    Xs = X.submatrix(model)
+    L = chol_append(fit.chol, Xs[:, :-1].T @ Xs[:, -1], X.column_sq_norms[j])
     if L is None:
         raise SingularModel(f"column {j} collinear with model {fit.model}")
-    xty = np.append(fit.xty, float(xj @ y))
-    w = solve_triangular(L, xty, lower=True, check_finite=False)
-    beta = solve_triangular(L, w, lower=True, trans="T", check_finite=False)
-    resid = y - Xs @ beta[:s] - xj * beta[s]
-    return ModelFit(model=fit.model + (j,), chol=L, beta_hat=beta, rss=float(resid @ resid), xty=xty)
+    return _solved(model, L, np.append(fit.xty, float(Xs[:, -1] @ y)), Xs, y)
 
 
 def chol_append(L: np.ndarray, g: np.ndarray, cjj: float):
@@ -167,7 +153,7 @@ def chol_append(L: np.ndarray, g: np.ndarray, cjj: float):
     column is numerically collinear with the old ones.
     """
     s = L.shape[0]
-    l = solve_triangular(L, g, lower=True, check_finite=False)
+    l = solve_triangular(L, g, lower=True, check_finite=False) if s else g
     d2 = cjj - float(l @ l)
     if d2 <= PIVOT_TOL * cjj:
         return None
@@ -205,23 +191,12 @@ def _rank_one_update(L: np.ndarray, v: np.ndarray) -> np.ndarray:
     return L
 
 
-# Below this size a from-scratch refit is as cheap as a downdate and avoids
-# its accumulation of rounding error.
-REFIT_SIZE = 8
-
-
 def drop_fit(fit: ModelFit, X: DesignMatrix, y: np.ndarray, j: int) -> ModelFit:
-    """Fit on fit.model minus {j}; refits outright for small models."""
+    """Fit on fit.model minus {j}, downdating the cached Cholesky factor."""
     if j not in fit.model:
         raise ValueError(f"column {j} not in model {fit.model}")
     model = tuple(i for i in fit.model if i != j)
-    if fit.size <= REFIT_SIZE:
-        return fit_model(X, y, model)
+    if not model:
+        return _empty_fit(y)
     k = fit.model.index(j)
-    L = chol_delete(fit.chol, k)
-    xty = np.delete(fit.xty, k)
-    w = solve_triangular(L, xty, lower=True, check_finite=False)
-    beta = solve_triangular(L, w, lower=True, trans="T", check_finite=False)
-    Xs = X.submatrix(model)
-    resid = y - Xs @ beta
-    return ModelFit(model=model, chol=L, beta_hat=beta, rss=float(resid @ resid), xty=xty)
+    return _solved(model, chol_delete(fit.chol, k), np.delete(fit.xty, k), X.submatrix(model), y)

@@ -34,12 +34,14 @@ class ExactPosterior:
 
     ``table`` maps sorted model tuples to probabilities summing to one;
     ``inclusion[j]`` is the exact marginal probability that column j is
-    active; ``log_normalizer`` is the log of the unnormalized mass.
+    active; ``log_normalizer`` is the log of the unnormalized mass;
+    ``max_size`` is the design's numerical rank, the prior's size cap.
     """
 
     table: dict
     log_normalizer: float
     inclusion: np.ndarray
+    max_size: int
 
 
 def enumerate_posterior(
@@ -82,7 +84,9 @@ def enumerate_posterior(
     inclusion = np.zeros(X.p)
     for model, prob in zip(models, probs):
         inclusion[list(model)] += prob
-    return ExactPosterior(table=dict(zip(models, probs)), log_normalizer=log_norm, inclusion=inclusion)
+    return ExactPosterior(
+        table=dict(zip(models, probs)), log_normalizer=log_norm, inclusion=inclusion, max_size=max_size
+    )
 
 
 def min_sparse_singular_value(X: DesignMatrix, s: int) -> float:
@@ -138,12 +142,12 @@ def denominator_bound_check(
     y = np.asarray(y, dtype=np.float64)
     true_beta = np.asarray(true_beta, dtype=np.float64)
     true_model = tuple(int(j) for j in np.flatnonzero(true_beta))
-    max_size = rank_of(X)
     resid = y - X.values @ true_beta
     shift = hyper.half_data_precision * float(resid @ resid)
-    log_lhs = enumerate_posterior(X, y, prior, hyper).log_normalizer + shift
+    exact = enumerate_posterior(X, y, prior, hyper)
+    log_lhs = exact.log_normalizer + shift
     c = hyper.occam_per_variable
-    log_rhs = log_model_prior(prior, true_model, X.p, max_size) - c * len(true_model)
+    log_rhs = log_model_prior(prior, true_model, X.p, exact.max_size) - c * len(true_model)
     return DenominatorCheck(
         log_lhs=log_lhs,
         log_rhs=log_rhs,

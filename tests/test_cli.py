@@ -8,9 +8,11 @@ from ebsparse.cli import (
     MalformedInput,
     RunConfig,
     _default_workers,
+    build_parser,
     cmd_diagnose,
     cmd_enumerate,
     cmd_fit,
+    config_from_args,
     main,
     read_csv_dataset,
 )
@@ -316,3 +318,21 @@ class TestWorkerEnvVar:
         monkeypatch.setenv("EBSPARSE_WORKERS", "many")
         data = write_toy_csv(tmp_path / "toy.csv")
         assert main(["fit", "--input", str(data), "--iterations", "200"]) == 2
+
+
+class TestParsedConfig:
+    def test_absent_flags_take_runconfig_defaults(self, monkeypatch):
+        monkeypatch.delenv("EBSPARSE_WORKERS", raising=False)
+        args = build_parser().parse_args(["fit", "--input", "d.csv"])
+        assert config_from_args(args) == RunConfig(command="fit", input="d.csv")
+
+    def test_estimate_flag_sets_estimate(self):
+        args = build_parser().parse_args(["diagnose", "--estimate-sigma2", "--workers", "2"])
+        config = config_from_args(args)
+        assert config.sigma2 == "estimate"
+        assert config.workers == 2
+
+    def test_noise_flags_are_exclusive(self):
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(["diagnose", "--sigma2", "1", "--estimate-sigma2"])
+        assert err.value.code == 2

@@ -172,7 +172,7 @@ class TestExtendFit:
 
 
 class TestDropFit:
-    def test_small_model_refit_path(self):
+    def test_small_model_downdate_path(self):
         rng = np.random.default_rng(7)
         X = random_design(rng, 20, 8)
         y = rng.standard_normal(20)
@@ -247,3 +247,35 @@ class TestRandomWalkSequence:
                 direct = fit_model(X, y, fit.model)
                 assert fit.rss == pytest.approx(direct.rss, rel=1e-8)
                 np.testing.assert_allclose(fit.beta_hat, direct.beta_hat, atol=1e-8)
+
+    def test_correlated_capped_walk_crosses_downdate_sizes(self):
+        # rho = 0.99 equicorrelated columns, models capped at size 10: the
+        # walk passes size 8 both ways, so small and large drops both downdate.
+        rng = np.random.default_rng(11)
+        n, p, cap, rho = 50, 30, 10, 0.99
+        X = DesignMatrix.from_array(
+            np.sqrt(rho) * rng.standard_normal((n, 1)) + np.sqrt(1 - rho) * rng.standard_normal((n, p))
+        )
+        y = X.values[:, :3] @ np.array([1.0, -1.0, 0.5]) + rng.standard_normal(n)
+        fit = fit_model(X, y, ())
+        crossings = {"up": 0, "down": 0}
+        for step in range(20_000):
+            j = int(rng.integers(0, p))
+            size = fit.size
+            if j in fit.model:
+                fit = drop_fit(fit, X, y, j)
+            elif size < cap:
+                try:
+                    fit = extend_fit(fit, X, y, j)
+                except SingularModel:
+                    continue
+            if (size, fit.size) == (8, 9):
+                crossings["up"] += 1
+            elif (size, fit.size) == (9, 8):
+                crossings["down"] += 1
+            if step % 50 == 49:
+                direct = fit_model(X, y, fit.model)
+                np.testing.assert_allclose(fit.chol, direct.chol, atol=1e-8)
+                assert fit.rss == pytest.approx(direct.rss, rel=1e-8)
+                np.testing.assert_allclose(fit.beta_hat, direct.beta_hat, atol=1e-8)
+        assert crossings["up"] > 0 and crossings["down"] > 0
